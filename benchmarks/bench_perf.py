@@ -17,14 +17,14 @@ persistent storage words, and the speedup ratio per problem size.
 
 With ``--parallel`` the benchmark instead measures the vMPI *backend
 axis* (docs/PARALLELISM.md): distributed factorize + solve on the
-``thread`` backend (GIL-shared) vs the ``process`` backend (true
-multi-core over shared-memory transport) vs the ``socket`` backend
-(TCP control plane + shm envelopes), asserting the solutions are
-bitwise identical, and writes ``BENCH_parallel.json``.  The speedup
-claim is hardware-honest: ``cpu_count`` is recorded, the ">1x"
-assertion only fires on hosts with at least two cores, and on a
-single-core container the multiprocess backends are expected to *lose*
-(spawn + IPC overhead with no cores to win back).
+``thread`` backend (GIL-shared) vs the ``socket`` backend (spawned
+ranks, TCP control plane + shm envelopes, true multi-core), asserting
+the solutions are bitwise identical, and writes
+``BENCH_parallel.json``.  The speedup claim is hardware-honest:
+``cpu_count`` is recorded, the ">1x" assertion only fires on hosts
+with at least two cores, and on a single-core container the socket
+backend is expected to *lose* (spawn + IPC overhead with no cores to
+win back).
 
 With ``--level-batch-compare`` it instead measures the *level-batching
 axis* (docs/PERFORMANCE.md): factorization wall time of the nlogn direct
@@ -59,7 +59,13 @@ import time
 
 import numpy as np
 
-from repro.config import GMRESConfig, SkeletonConfig, SolverConfig, TreeConfig
+from repro.config import (
+    BACKENDS,
+    GMRESConfig,
+    SkeletonConfig,
+    SolverConfig,
+    TreeConfig,
+)
 from repro.hmatrix import build_hmatrix
 from repro.kernels import GaussianKernel
 from repro.obs import reset_telemetry, telemetry_snapshot
@@ -158,11 +164,8 @@ def bench_size(n: int, k: int, level_restriction: int) -> dict:
     }
 
 
-PARALLEL_BACKENDS = ("thread", "process", "socket")
-
-
 def bench_parallel_size(n: int, n_ranks: int) -> dict:
-    """Distributed factorize + solve across all three vMPI backends."""
+    """Distributed factorize + solve across every vMPI backend."""
     from repro.parallel import distributed_factorize, distributed_solve
 
     X, kernel, gen = make_problem(n)
@@ -178,7 +181,7 @@ def bench_parallel_size(n: int, n_ranks: int) -> dict:
     )
     per_backend = {}
     solutions = {}
-    for backend in PARALLEL_BACKENDS:
+    for backend in BACKENDS:
         t0 = time.perf_counter()
         dist = distributed_factorize(h, 0.5, n_ranks, backend=backend)
         t_factorize = time.perf_counter() - t0
@@ -194,7 +197,7 @@ def bench_parallel_size(n: int, n_ranks: int) -> dict:
             "comm_bytes": stats.bytes + dist.factor_stats.bytes,
             "retries": stats.retries + dist.factor_stats.retries,
         }
-    for backend in PARALLEL_BACKENDS[1:]:
+    for backend in BACKENDS[1:]:
         if not np.array_equal(solutions["thread"], solutions[backend]):
             raise AssertionError(
                 f"backend parity violated at n={n}: thread and {backend} "
@@ -205,9 +208,9 @@ def bench_parallel_size(n: int, n_ranks: int) -> dict:
         "n_ranks": n_ranks,
         "bitwise_identical": True,
     }
-    for backend in PARALLEL_BACKENDS:
+    for backend in BACKENDS:
         result[backend] = per_backend[backend]
-    for backend in PARALLEL_BACKENDS[1:]:
+    for backend in BACKENDS[1:]:
         result[f"speedup_{backend}_vs_thread"] = (
             per_backend["thread"]["total_s"]
             / max(per_backend[backend]["total_s"], 1e-12)
@@ -478,16 +481,15 @@ def run_parallel_bench(args) -> int:
         runs.append(run)
         print(
             f"  thread {run['thread']['total_s']:.3f}s  "
-            f"process {run['process']['total_s']:.3f}s  "
             f"socket {run['socket']['total_s']:.3f}s  "
-            f"speedup(process) {run['speedup_process_vs_thread']:.2f}x  "
+            f"speedup(socket) {run['speedup_socket_vs_thread']:.2f}x  "
             f"bitwise={run['bitwise_identical']}",
             flush=True,
         )
         # the scaling claim is hardware-honest: only assert multi-core
         # backends win when the host actually has cores to win with.
         if cpu_count >= 2 and n >= 2048:
-            for backend in PARALLEL_BACKENDS[1:]:
+            for backend in BACKENDS[1:]:
                 speedup = run[f"speedup_{backend}_vs_thread"]
                 if speedup <= 1.0:
                     raise AssertionError(
@@ -504,7 +506,7 @@ def run_parallel_bench(args) -> int:
         "speedup_asserted": bool(cpu_count >= 2),
         "note": (
             "speedups over the thread backend require real cores; on a "
-            "single-CPU host the process and socket backends pay spawn "
+            "single-CPU host the socket backend pays spawn "
             "+ IPC overhead with no parallelism to win back, so the "
             "speedup assertion is gated on cpu_count >= 2"
         ),
@@ -537,8 +539,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--parallel", action="store_true",
-        help="benchmark the vMPI backend axis (thread vs process vs "
-             "socket) instead; writes BENCH_parallel.json",
+        help="benchmark the vMPI backend axis (thread vs socket) "
+             "instead; writes BENCH_parallel.json",
     )
     parser.add_argument(
         "--ranks", type=int, default=DEFAULT_RANKS,

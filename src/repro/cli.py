@@ -25,6 +25,7 @@ import numpy as np
 
 from repro import FastKernelSolver, GaussianKernel
 from repro.config import (
+    BACKENDS,
     GMRESConfig,
     ResilienceConfig,
     SkeletonConfig,
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="raise on deadline expiry instead of stepping "
                               "down the degradation ladder (exit code 4)")
     p_solve.add_argument("--backend", default=None,
-                         choices=["thread", "process", "socket"],
+                         choices=BACKENDS,
                          help="vMPI execution backend for the parallel paths "
                               "(default: REPRO_VMPI_BACKEND or 'thread'; "
                               "docs/PARALLELISM.md)")

@@ -23,7 +23,14 @@ __all__ = [
     "GMRESConfig",
     "RecoveryConfig",
     "ResilienceConfig",
+    "BACKENDS",
 ]
+
+#: vMPI execution backends (docs/PARALLELISM.md): "thread" is the
+#: deterministic in-process reference, "socket" runs spawned ranks.
+#: Defined here, not in repro.parallel, so that validating a config or
+#: building the CLI parser does not import the distributed stack.
+BACKENDS = ("thread", "socket")
 
 
 @dataclass(frozen=True)
@@ -335,10 +342,11 @@ class SolverConfig:
     #: recursive solves are node-at-a-time by construction).
     level_batch: bool = True
 
-    #: vMPI execution backend for the distributed paths: "thread"
-    #: (shared-memory mailboxes, debuggable), "process" (true multi-core
-    #: via multiprocessing + shared-memory transport), or None to defer
-    #: to the REPRO_VMPI_BACKEND environment (docs/PARALLELISM.md).
+    #: vMPI execution backend for the distributed paths, one of
+    #: :data:`BACKENDS` — "thread" (shared-memory mailboxes,
+    #: debuggable) or "socket" (spawned ranks over TCP, true
+    #: multi-core) — or None to defer to the REPRO_VMPI_BACKEND
+    #: environment (docs/PARALLELISM.md).
     backend: str | None = None
 
     #: incremental updates (docs/UPDATES.md): when a point
@@ -381,13 +389,9 @@ class SolverConfig:
             raise ConfigurationError(
                 f"storage must be 'full' or 'low'; got {self.storage!r}"
             )
-        if self.backend is not None and self.backend not in (
-            "thread",
-            "process",
-            "socket",
-        ):
+        if self.backend is not None and self.backend not in BACKENDS:
             raise ConfigurationError(
-                "backend must be 'thread', 'process', 'socket', or None; "
+                f"backend must be one of {BACKENDS} or None; "
                 f"got {self.backend!r}"
             )
         if not 0.0 < self.update_rebuild_threshold <= 1.0:

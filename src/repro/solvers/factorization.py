@@ -728,7 +728,7 @@ class HierarchicalFactorization:
         :class:`KernelSummation` sibling blocks are excluded and
         re-derived on restore (kernel evaluation is pure), so the
         payload is a handful of dense arrays that travel cheaply
-        between the task-parallel executor's worker processes.
+        between rank processes, checkpoints and update resumes.
         """
         if node_id in self.leaf_factors:
             lf = self.leaf_factors[node_id]
@@ -757,9 +757,8 @@ class HierarchicalFactorization:
     def restore_node_payload(self, payload: dict) -> None:
         """Transplant one node's factors back (inverse of export).
 
-        Idempotent: a node already present is left untouched (a DAG
-        worker that factored a child locally skips the shipped copy
-        without double-recording its stability entry).
+        Idempotent: a node already present is left untouched, so a
+        repeated restore never double-records its stability entry.
         """
         h = self.hmatrix
         nid = payload["node_id"]

@@ -518,7 +518,7 @@ class TestSkeletonizeParity:
 
 
 # ----------------------------------------------------------------------
-# distributed / backend seam (runs under REPRO_VMPI_BACKEND=process in CI)
+# distributed / backend seam (runs under REPRO_VMPI_BACKEND=socket in CI)
 # ----------------------------------------------------------------------
 
 class TestDistributedSeam:

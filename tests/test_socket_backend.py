@@ -3,9 +3,11 @@
 Tentpole invariants of the socket backend (docs/PARALLELISM.md):
 
 * ``run_spmd(..., backend="socket")`` — spawned workers over a TCP
-  control plane — is *bitwise interchangeable* with the thread and
-  process backends, fault-free and under seeded chaos (the FaultPlan
-  hash is pure, so all three backends see the same schedule);
+  control plane — is *bitwise interchangeable* with the thread
+  backend, fault-free and under seeded chaos (the FaultPlan hash is
+  pure, so both backends see the same schedule);
+* every message reaches its receiver, including posts that arrive
+  before the receiver's connection is registered;
 * a hung rank is detected by the heartbeat failure detector
   (suspected, then confirmed dead) instead of stalling the launch;
 * with ``elastic=True`` a *permanent* rank loss repartitions the
@@ -13,8 +15,10 @@ Tentpole invariants of the socket backend (docs/PARALLELISM.md):
   checkpoints, and the result matches the fault-free run to 1e-10.
 
 All SPMD functions here are module-level: the socket backend pickles
-the program for spawn, same contract as the process backend.
+the program for spawn, so closures are rejected (covered below too).
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.hmatrix import build_hmatrix
 from repro.kernels import GaussianKernel
 from repro.parallel.dist_solver import distributed_factorize, distributed_solve
 from repro.parallel.vmpi import (
+    CommStats,
     FaultPlan,
     FailureDetector,
     HeartbeatConfig,
@@ -48,6 +53,34 @@ def ring_prog(comm, base):
     comm.send(x, (comm.rank + 1) % comm.size, tag=1)
     y = comm.recv((comm.rank - 1) % comm.size, tag=1)
     return comm.allreduce(float(y.sum()))
+
+
+def failing_prog(comm):
+    raise ValueError(f"boom from rank {comm.rank}")
+
+
+def cache_publish_prog(comm):
+    """Publish to the default BlockCache inside a worker process."""
+    from repro.perf import default_cache
+
+    cache = default_cache()
+    key = ("test", "spawn", comm.rank)
+    cache.put(key, np.ones((64, 64)))
+    hit = cache.fetch(key)
+    stats = cache.stats()
+    return {
+        "got_back": hit is not None,
+        "hits": stats.hits,
+        "lookups": stats.lookups,
+    }
+
+
+def metrics_prog(comm):
+    """Increment a counter in the child; shipped back and merged."""
+    from repro.obs.metrics import registry
+
+    registry().counter("test.child_work").inc(comm.rank + 1)
+    return comm.rank
 
 
 def checkpoint_prog(comm, rounds):
@@ -78,7 +111,7 @@ def problem():
 
 
 # ----------------------------------------------------------------------
-# tentpole: socket parity with thread and process
+# tentpole: socket parity with thread
 # ----------------------------------------------------------------------
 
 class TestSocketParity:
@@ -101,6 +134,15 @@ class TestSocketParity:
         h, _ = problem
         ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
         assert all(s.local.hmatrix is h for s in ds.states)
+
+    def test_factor_payloads_bitwise_identical(self, problem):
+        h, _ = problem
+        dt = distributed_factorize(h, 0.7, n_ranks=2, backend="thread")
+        ds = distributed_factorize(h, 0.7, n_ranks=2, backend="socket")
+        for st, ss in zip(dt.states, ds.states):
+            for nid, lf in st.local.leaf_factors.items():
+                assert np.array_equal(lf.lu[0], ss.local.leaf_factors[nid].lu[0])
+                assert np.array_equal(lf.phat, ss.local.leaf_factors[nid].phat)
 
     def test_parity_under_chaos(self, problem):
         h, u = problem
@@ -145,6 +187,177 @@ class TestSocketParity:
 
         with pytest.raises(ConfigurationError, match="module-level"):
             run_spmd(closure_prog, 2, backend="socket")
+
+    def test_env_backend_selects_socket(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VMPI_BACKEND", "socket")
+        res, _ = run_spmd(ring_prog, 2, 1.0)
+        rt, _ = run_spmd(ring_prog, 2, 1.0, backend="thread")
+        assert res == rt
+
+        def closure_prog(comm):
+            return res
+
+        # only a spawned-rank launch has to pickle the program.
+        with pytest.raises(ConfigurationError, match="socket backend"):
+            run_spmd(closure_prog, 2)
+
+    def test_run_spmd_error_message_parity(self):
+        with pytest.raises(RuntimeError, match="rank 0 failed"):
+            run_spmd(failing_prog, 2, backend="socket")
+
+    def test_unpicklable_arguments_rejected_with_guidance(self):
+        # the program is module-level; an argument is what cannot cross.
+        with pytest.raises(ConfigurationError, match="module-level"):
+            run_spmd(ring_prog, 2, lambda: 1.0, backend="socket")
+
+
+@pytest.fixture(scope="module")
+def four_rank_reference(problem):
+    """Thread-backend factorization and solve at p=4."""
+    h, u = problem
+    dt = distributed_factorize(h, 0.7, n_ranks=4, backend="thread")
+    wt, _ = distributed_solve(dt, u)
+    return dt, wt
+
+
+@pytest.fixture(scope="module")
+def four_rank_socket(problem):
+    """Socket-backend factorization at p=4, shared by the checks below."""
+    h, _ = problem
+    return distributed_factorize(h, 0.7, n_ranks=4, backend="socket")
+
+
+class TestSocketParityFourRanks:
+    """The parity contract at p=4: two distributed tree levels instead
+    of one, and four ranks racing to register at generation 0."""
+
+    def test_spmd_results_and_stats_match(self):
+        rt, st = run_spmd(ring_prog, 4, 5.0, backend="thread")
+        rs, ss = run_spmd(ring_prog, 4, 5.0, backend="socket")
+        assert rt == rs
+        assert (st.messages, st.bytes) == (ss.messages, ss.bytes)
+
+    def test_distributed_solve_bitwise_identical(
+        self, problem, four_rank_reference, four_rank_socket
+    ):
+        _, u = problem
+        _, wt = four_rank_reference
+        ws, _ = distributed_solve(four_rank_socket, u)
+        assert four_rank_socket.backend == "socket"
+        assert np.array_equal(wt, ws)
+
+    def test_states_share_callers_hmatrix(self, problem, four_rank_socket):
+        h, _ = problem
+        assert len(four_rank_socket.states) == 4
+        assert all(s.local.hmatrix is h for s in four_rank_socket.states)
+
+    def test_parity_under_chaos(self, problem):
+        h, u = problem
+        plan = lambda: FaultPlan(  # noqa: E731 - two identical plans
+            seed=9, drop_rate=0.05, corrupt_rate=0.025, delay_rate=0.0125
+        )
+        dt = distributed_factorize(
+            h, 0.7, n_ranks=4, fault_plan=plan(), backend="thread"
+        )
+        wt, _ = distributed_solve(dt, u)
+        ds = distributed_factorize(
+            h, 0.7, n_ranks=4, fault_plan=plan(), backend="socket"
+        )
+        ws, _ = distributed_solve(ds, u)
+        assert np.array_equal(wt, ws)
+        assert ds.factor_stats.drops == dt.factor_stats.drops
+        assert ds.factor_stats.corruptions == dt.factor_stats.corruptions
+        assert ds.factor_stats.retries == dt.factor_stats.retries
+
+    def test_rank_crash_respawn(self, problem, four_rank_reference):
+        h, u = problem
+        _, wt = four_rank_reference
+        ds = distributed_factorize(
+            h,
+            0.7,
+            n_ranks=4,
+            fault_plan=FaultPlan(seed=5, crash_rank=3, crash_op=4),
+            backend="socket",
+        )
+        ws, _ = distributed_solve(ds, u)
+        assert np.array_equal(wt, ws)
+        assert ds.factor_stats.crashes == 1
+        assert ds.factor_stats.respawns == 1
+        assert ds.factor_stats.rank_recoveries[0]["rank"] == 3
+
+
+# ----------------------------------------------------------------------
+# delivery to ranks whose connection is not registered yet
+# ----------------------------------------------------------------------
+
+class TestEarlyPostDelivery:
+    """A worker starts its program as soon as it has sent ``hello``,
+    while the supervisor registers connections one at a time.  A post
+    addressed to a peer that is not registered yet is logged, and must
+    be delivered when that peer's hello arrives — at generation 0 too,
+    not only for respawned ranks.  A lost post surfaces as a
+    ``DeadlockError`` after the full receive timeout."""
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_ring_never_loses_early_posts(self, p):
+        expected, _ = run_spmd(ring_prog, p, 5.0, backend="thread")
+        for _ in range(3):
+            got, _ = run_spmd(ring_prog, p, 5.0, backend="socket", timeout=8.0)
+            assert got == expected
+
+
+# ----------------------------------------------------------------------
+# satellite: spawn/fork safety of process-wide singletons
+# ----------------------------------------------------------------------
+
+class TestSpawnSafety:
+    def test_blockcache_publish_after_spawn(self):
+        results, _ = run_spmd(cache_publish_prog, 2, backend="socket")
+        for r in results:
+            assert r["got_back"]
+            # child stats start from zero: exactly this worker's traffic.
+            assert r["lookups"] == 1 and r["hits"] == 1
+
+    def test_blockcache_pickles_as_configuration(self):
+        from repro.perf.blockcache import BlockCache
+
+        cache = BlockCache(budget_words=1234)
+        cache.put(("k", 1), np.ones((8, 8)))
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.budget_words == cache.budget_words
+        assert clone.fetch(("k", 1)) is None  # entries do not cross
+        assert clone.stats().lookups == 1  # fresh stats (the miss above)
+
+    def test_metrics_merge_from_children(self):
+        from repro.obs.metrics import registry
+
+        before = registry().total("test.child_work")
+        run_spmd(metrics_prog, 2, backend="socket")
+        # ranks 0 and 1 incremented by 1 and 2 respectively.
+        assert registry().total("test.child_work") == before + 3.0
+
+    def test_commstats_pickle_roundtrip(self):
+        st = CommStats()
+        st.record(0, 1, 100)
+        st.record_fault("drops", rank=1)
+        clone = pickle.loads(pickle.dumps(st))
+        assert clone.messages == 1 and clone.bytes == 100
+        assert clone.drops == 1
+        clone.record(1, 0, 50)  # lock was recreated
+        assert clone.messages == 2
+
+    def test_faultplan_pickle_preserves_decisions(self):
+        plan = FaultPlan(seed=13, drop_rate=0.3, corrupt_rate=0.1)
+        clone = pickle.loads(pickle.dumps(plan))
+        key = ("world", 0, 1, 7)
+        assert [plan.decide(key, s, 0) for s in range(64)] == [
+            clone.decide(key, s, 0) for s in range(64)
+        ]
+
+    def test_faultplan_disarm_crash(self):
+        plan = FaultPlan(seed=1, crash_rank=0, crash_op=0)
+        plan.disarm_crash()
+        plan.on_op(0)  # would raise RankCrashError if still armed
 
 
 # ----------------------------------------------------------------------

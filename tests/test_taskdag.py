@@ -188,8 +188,5 @@ class TestParallelExecution:
         bad.cache.put(
             (bad._ns, "leaf", leaf.id), np.full((leaf.size, leaf.size), np.nan)
         )
-        # thread backend: the poisoned cache entry is process-local state
-        # and would not be visible to spawned workers (a pickled cache
-        # ships only its configuration, never its contents).
         with pytest.raises(Exception):
-            execute_factorization(bad, 0.5, n_workers=2, backend="thread")
+            execute_factorization(bad, 0.5, n_workers=2)
